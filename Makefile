@@ -71,14 +71,14 @@ serve-demo:
 bench:
 	$(PY) -m pytest benchmarks -q
 
-# Attack hot-path microbench: arena vs legacy CDCL conflicts/sec,
-# vectorized fig3/fig7 sweeps vs per-vector loops, end-to-end comb_sat
+# Attack hot-path microbench: arena CDCL conflicts/sec, vectorized
+# fig3/fig7 sweeps vs per-vector loops (>= 3x gate), end-to-end comb_sat
 # wall-clock. Writes benchmarks/artifacts/BENCH_solver.json.
 bench-solver:
 	$(PY) -m pytest benchmarks/bench_solver.py -q
 
-# End-to-end attack-loop bench: batched word-parallel oracle + cheap
-# pinning vs the serial/legacy loop (>= 1.5x gate on the
-# oracle-dominated cell). Writes benchmarks/artifacts/BENCH_attack.json.
+# End-to-end attack-loop bench: the e2ebench sat-attack workload, traced,
+# so the last line carries per-layer oracle / pin / solve / verify times
+# next to the digest-checked attack results.
 bench-attack:
-	$(PY) -m pytest benchmarks/bench_attack.py -q
+	$(PY) e2ebench/run.py --workload sat-attack --seed 0 --seconds 10 --trace 1

@@ -1,12 +1,11 @@
-"""Attack hot-path benchmarks: arena CDCL vs the legacy object-graph
-core, vectorized sweeps vs the per-vector loops, and the end-to-end
-``comb_sat`` attack wall-clock.
+"""Attack hot-path benchmarks: the arena CDCL's conflict rate, the
+native subprocess adapter, vectorized sweeps vs the per-vector loops,
+and the end-to-end ``comb_sat`` attack wall-clock.
 
-Acceptance bars (ISSUE 8):
-
-* arena solver >= 1.5x the seed CDCL on conflicts/sec (structured,
-  conflict-dense instances — the shape circuit-miter CNF takes);
-* vectorized fig3/fig7 sweeps >= 3x the per-vector loop.
+The one acceptance bar: vectorized fig3/fig7 sweeps >= 3x the
+per-vector loop.  Solver and attack numbers are recorded, not gated;
+their no-regression guard is the end-to-end benchmark in ``e2ebench/``
+(``sat.solve.self_s`` and ``wall_s`` on the sat-attack workload).
 
 Everything lands in ``BENCH_solver.json`` via ``bench_json_sink`` so
 runs can be diffed; the text artifact carries the same numbers
@@ -30,7 +29,7 @@ from repro.bench.synth import generate_circuit
 from repro.core import TriLockConfig, lock
 from repro.core.error_tables import measured_error_table
 from repro.metrics import simulate_fc
-from repro.sat import LegacySolver, Solver, in_tree_engine_argv, make_backend
+from repro.sat import Solver, in_tree_engine_argv, make_backend
 from repro.sim import SequentialSimulator, have_numpy, make_rng
 from repro.sim.random_vectors import random_input_words
 
@@ -74,66 +73,34 @@ def _timed_solve(factory, n_vars, clauses, assumptions=(),
 
 def test_arena_solver_conflict_rate(benchmark, artifact_sink,
                                     bench_json_sink):
-    """Arena CDCL vs the seed core on a conflict-dense instance.
-
-    Both engines run the same deterministic search; timings interleave
-    and keep the per-engine minimum.  The bar: >= 1.5x conflicts/sec.
-    """
+    """The arena CDCL on a conflict-dense instance: conflicts/sec and
+    propagations/sec, minimum over interleaved repeats."""
     n_vars, clauses = php_instance(8, 7)
-    engines = {"arena": Solver, "legacy": LegacySolver}
-    seconds = {name: float("inf") for name in engines}
-    answers, stats = {}, {}
+    seconds = float("inf")
     for repeat in range(_REPEATS):
-        for name, factory in engines.items():
-            if repeat == _REPEATS - 1 and name == "arena":
-                # Last arena run goes through pytest-benchmark so the
-                # workload shows up in its table too.
-                result, elapsed, stat = run_once(
-                    benchmark, _timed_solve, factory, n_vars, clauses)
-            else:
-                result, elapsed, stat = _timed_solve(factory, n_vars,
-                                                     clauses)
-            seconds[name] = min(seconds[name], elapsed)
-            answers[name], stats[name] = result, stat
+        if repeat == _REPEATS - 1:
+            # Last run goes through pytest-benchmark so the workload
+            # shows up in its table too.
+            result, elapsed, stats = run_once(
+                benchmark, _timed_solve, Solver, n_vars, clauses)
+        else:
+            result, elapsed, stats = _timed_solve(Solver, n_vars, clauses)
+        assert result is False
+        seconds = min(seconds, elapsed)
 
-    assert answers["arena"] is False and answers["legacy"] is False
-    rates = {
-        name: stats[name]["conflicts"] / seconds[name]
-        for name in engines
-    }
-    prop_rates = {
-        name: stats[name]["propagations"] / seconds[name]
-        for name in engines
-    }
-    speedup = rates["arena"] / rates["legacy"]
-    wall_speedup = seconds["legacy"] / seconds["arena"]
-    assert speedup >= 1.5, (
-        f"arena conflicts/sec only {speedup:.2f}x legacy")
-
+    rate = stats["conflicts"] / seconds
+    prop_rate = stats["propagations"] / seconds
     artifact_sink(
         "solver_conflict_rate",
         "instance: PHP(8,7) (UNSAT, structured, binary-heavy)\n"
-        f"arena:  {seconds['arena']:.3f}s, "
-        f"{stats['arena']['conflicts']} conflicts, "
-        f"{rates['arena']:,.0f} conflicts/s, "
-        f"{prop_rates['arena']:,.0f} props/s\n"
-        f"legacy: {seconds['legacy']:.3f}s, "
-        f"{stats['legacy']['conflicts']} conflicts, "
-        f"{rates['legacy']:,.0f} conflicts/s, "
-        f"{prop_rates['legacy']:,.0f} props/s\n"
-        f"conflicts/sec speedup: {speedup:.2f}x  "
-        f"(wall {wall_speedup:.2f}x)\n")
+        f"arena: {seconds:.3f}s, {stats['conflicts']} conflicts, "
+        f"{rate:,.0f} conflicts/s, {prop_rate:,.0f} props/s\n")
     _merge_bench_json(bench_json_sink, {
         "cdcl_conflict_rate": {
             "instance": "php(8,7)",
-            "arena_seconds": seconds["arena"],
-            "legacy_seconds": seconds["legacy"],
-            "arena_conflicts_per_sec": rates["arena"],
-            "legacy_conflicts_per_sec": rates["legacy"],
-            "arena_propagations_per_sec": prop_rates["arena"],
-            "legacy_propagations_per_sec": prop_rates["legacy"],
-            "conflict_rate_speedup": speedup,
-            "wall_speedup": wall_speedup,
+            "arena_seconds": seconds,
+            "arena_conflicts_per_sec": rate,
+            "arena_propagations_per_sec": prop_rate,
         },
     })
 
@@ -288,12 +255,9 @@ def test_fig7_fc_sweep_packed(artifact_sink, bench_json_sink):
 # End-to-end attack wall-clock
 # ----------------------------------------------------------------------
 def test_comb_sat_attack_wall_clock(artifact_sink, bench_json_sink):
-    """The real DIP loop, arena vs legacy solver, same instance.
-
-    At this scale the oracle simulation dominates, so this is a guard
-    (arena must not regress the attack) plus the headline wall-clock
-    number the README quotes — not where the 1.5x solver bar is held.
-    """
+    """The real DIP loop on the arena solver: the headline wall-clock
+    number the README quotes (oracle-simulation-dominated at this
+    scale)."""
     circuit = generate_circuit("benchseq", n_inputs=4, n_outputs=3,
                                n_flops=8, n_gates=48, seed=9)
     locked = lock(circuit, TriLockConfig(kappa_s=2, kappa_f=1, alpha=0.6,
@@ -309,32 +273,23 @@ def test_comb_sat_attack_wall_clock(artifact_sink, bench_json_sink):
         trace = oracle.query(vectors)
         return tuple(bit for cycle in trace for bit in cycle)
 
-    results, seconds = {}, {}
-    for name, factory in (("arena", Solver), ("legacy", LegacySolver)):
-        start = time.process_time()
-        results[name] = comb_sat_attack(view, key_inputs, oracle_fn,
-                                        solver=factory())
-        seconds[name] = time.process_time() - start
+    start = time.process_time()
+    result = comb_sat_attack(view, key_inputs, oracle_fn, solver=Solver())
+    seconds = time.process_time() - start
 
-    assert results["arena"].success and results["legacy"].success
-    assert results["arena"].key == results["legacy"].key
-    assert seconds["arena"] <= seconds["legacy"] * 1.15  # no regression
+    assert result.success
     _merge_bench_json(bench_json_sink, {
         "comb_sat_attack": {
             "instance": "benchseq 48 gates, ks=2",
-            "n_dips": results["arena"].n_dips,
-            "arena_seconds": seconds["arena"],
-            "legacy_seconds": seconds["legacy"],
-            "wall_speedup": seconds["legacy"] / seconds["arena"],
+            "n_dips": result.n_dips,
+            "arena_seconds": seconds,
         },
     })
     artifact_sink(
         "solver_attack_wall",
         f"comb_sat attack, 48-gate sequential host, ks=2 "
-        f"({results['arena'].n_dips} DIPs)\n"
-        f"arena solver:  {seconds['arena']:.2f}s\n"
-        f"legacy solver: {seconds['legacy']:.2f}s\n"
-        f"wall speedup: {seconds['legacy'] / seconds['arena']:.2f}x "
+        f"({result.n_dips} DIPs)\n"
+        f"arena solver: {seconds:.2f}s "
         "(oracle-simulation-dominated at this scale)\n")
 
 

@@ -161,8 +161,8 @@ def _key_metrics(result, locked):
         "depth": result.depth,
         "key_ok": key_ok,
         "stop_reason": result.stop_reason,
-        # Patterns simulated (comparable across serial/batched loops)
-        # vs oracle invocations (a batched round is one call).
+        # Patterns simulated vs oracle invocations (a batched round is
+        # one call).
         "oracle_queries": result.oracle_queries,
         "oracle_calls": result.oracle_calls,
     }

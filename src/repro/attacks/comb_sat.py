@@ -33,13 +33,12 @@ sequence).
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 
 from repro.cnf import Cnf, encode
-from repro.errors import AttackError
-from repro.netlist.transform import InputSpecializer, simplified
+from repro.errors import AttackError, InconsistentOracleError
+from repro.netlist.transform import InputSpecializer
 from repro.sat import make_attack_solver
 
 
@@ -154,16 +153,12 @@ class DipEngine:
         # recycled per batch, and the key-variable map lets copy "b" of
         # each constraint be mirrored from copy "a" by literal remapping
         # instead of a second specialise+encode pass.
-        # REPRO_LEGACY_PIN=1 keeps the pre-cache pinning path selectable
-        # for benchmarking and differential tests.
         self._specializer = None
         self._pin_cnf = Cnf()
         self._key_var_b_of_a = {
             self.var_of[self.map_a[net]]: self.var_of[self.map_b[net]]
             for net in self.key_inputs
         }
-        self._legacy_pin = os.environ.get(
-            "REPRO_LEGACY_PIN", "") not in ("", "0")
 
     # ------------------------------------------------------------------
     def _solve(self, assumptions=()):
@@ -234,8 +229,8 @@ class DipEngine:
 
         Clause-for-clause identical to calling :meth:`pin_response` per
         pair: each pair contributes copy-"a" clauses, copy-"a" response
-        units, copy-"b" clauses, copy-"b" units, in batch order.  The
-        fast path specialises through the cached
+        units, copy-"b" clauses, copy-"b" units, in batch order.  Each
+        pair is specialised through the cached
         :class:`~repro.netlist.transform.InputSpecializer`, encodes copy
         "a" into one reused Cnf arena, and *mirrors* copy "b" by literal
         remapping: the two copies are structurally identical and share
@@ -250,10 +245,6 @@ class DipEngine:
         for _dip, response in pairs:
             if len(response) != n_outputs:
                 raise AttackError("oracle response width mismatch")
-        if self._legacy_pin:
-            for dip, response in pairs:
-                self._pin_legacy(dip, response)
-            return
         if self._specializer is None:
             self._specializer = InputSpecializer(self.locked)
         key_b_of_a = self._key_var_b_of_a
@@ -297,37 +288,16 @@ class DipEngine:
         for clause in staged:
             self.solver.add_clause(clause)
 
-    def _pin_legacy(self, dip, response):
-        """Pre-PR-10 pinning path: fresh specialise + encode per copy.
-
-        Kept (behind ``REPRO_LEGACY_PIN=1``) as the benchmarking baseline
-        and as the differential reference that the mirrored fast path
-        must match clause for clause.
-        """
-        self.n_pinned += 1
-        index = self.n_pinned
-        assignments = {net: (1 if bit else 0)
-                       for net, bit in zip(self.data_inputs, dip)}
-        specialized = simplified(self.locked, constant_inputs=assignments,
-                                 name=f"io_spec{index}")
-        for tag in ("a", "b"):
-            mapping = _constraint_copy_map(specialized, self.key_set, tag,
-                                           index)
-            copy = specialized.renamed(mapping, name=f"io_{tag}{index}")
-            cnf = Cnf(self.solver.num_vars)
-            circuit = encode(copy, cnf=cnf, var_of=self.var_of)
-            self.solver.ensure_vars(cnf.num_vars)
-            for clause in cnf.clauses:
-                self.solver.add_clause(clause)
-            for position, bit in enumerate(response):
-                net = copy.outputs[position]
-                self.solver.add_clause([circuit.lit(net, bool(bit))])
-
     def solve_key(self):
-        """A key consistent with every pinned I/O pair (raises if none)."""
+        """A key consistent with every pinned I/O pair.
+
+        Raises :class:`~repro.errors.InconsistentOracleError` when no key
+        reproduces the oracle on the pinned patterns.
+        """
         if not self._solve():
-            raise AttackError(
-                "constraint store unsatisfiable: oracle inconsistent")
+            raise InconsistentOracleError(
+                "constraint store unsatisfiable: oracle inconsistent",
+                n_pinned=self.n_pinned)
         return {net: self.solver.model_value(self.var_of[self.map_a[net]])
                 for net in self.key_inputs}
 

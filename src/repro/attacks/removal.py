@@ -26,6 +26,7 @@ from repro.attacks.bmc import bounded_equivalence
 from repro.attacks.comb_sat import comb_sat_attack
 from repro.attacks.oracle import SimulationOracle
 from repro.core.rcg import build_rcg, cyclic_sccs
+from repro.errors import InconsistentOracleError
 from repro.netlist.transform import simplified, specialise_on_inputs
 from repro.unroll import unroll
 
@@ -195,9 +196,17 @@ def _attempt_removal_with(locked, suspects, depth, max_dips, time_budget,
         return oracle.query_batch_flat(sequences)
 
     tie_inputs = sorted({mapping[f"{q}@0"] for q in tie_nets})
-    result = comb_sat_attack(merged_view, tie_inputs, oracle_fn,
-                             max_dips=max_dips, time_budget=time_budget,
-                             oracle_batch_fn=oracle_batch_fn)
+    try:
+        result = comb_sat_attack(merged_view, tie_inputs, oracle_fn,
+                                 max_dips=max_dips, time_budget=time_budget,
+                                 oracle_batch_fn=oracle_batch_fn)
+    except InconsistentOracleError as error:
+        # Every DIP pinned, yet no tie assignment matches the oracle:
+        # the stripped circuit cannot be unlocked by constants alone.
+        return RemovalAttempt(
+            success=False, stripped_registers=tuple(suspects),
+            tie_values=None, n_dips=error.n_pinned, verified=False,
+            reason="no tie constants reproduce the oracle")
     if not result.success:
         return RemovalAttempt(
             success=False, stripped_registers=tuple(suspects),

@@ -34,8 +34,7 @@ class SeqAttackResult:
     """Outcome of a sequential SAT attack.
 
     ``oracle_queries`` counts input *sequences* the oracle simulated
-    (:attr:`SimulationOracle.pattern_count`) — the number comparable
-    across serial and batched oracle loops; ``oracle_calls`` counts
+    (:attr:`SimulationOracle.pattern_count`); ``oracle_calls`` counts
     oracle invocations (a batched round is one call).  The phase timers
     aggregate the per-depth COMB-SAT phase breakdown (miter solving,
     oracle simulation, constraint pinning); ``oracle_seconds``
@@ -123,8 +122,7 @@ def estimate_min_unroll_depth(locked_netlist, kappa, max_depth=16,
 def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
                           max_depth=12, max_dips=None, time_budget=None,
                           reference=None, check_rounds=24, seed=0,
-                          dip_batch=1, portfolio=None, attack_jobs=1,
-                          oracle_batch=True):
+                          dip_batch=1, portfolio=None, attack_jobs=1):
     """Oracle-guided sequential SAT attack; returns :class:`SeqAttackResult`.
 
     ``oracle``
@@ -145,14 +143,11 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
         between depths (the workers' clause stores are rebuilt in place)
         instead of respawning per depth — cheap under ``fork``, a real
         saving on ``spawn`` platforms.
-    ``oracle_batch``
-        When true (the default) each multi-DIP miter round issues ONE
-        word-parallel :meth:`SimulationOracle.query_batch` call and the
-        black-box verification rounds are batched the same way.  Results
-        are bit-identical to the serial per-pattern loop (which
-        ``oracle_batch=False`` preserves for differential testing); only
-        the oracle's *call* count changes — ``oracle_queries`` reports
-        simulated patterns either way.
+
+    Each multi-DIP miter round issues ONE word-parallel
+    :meth:`SimulationOracle.query_batch` call, and the black-box
+    verification rounds are batched the same way; ``oracle_queries``
+    reports simulated patterns, ``oracle_calls`` tester sessions.
     """
     start = time.perf_counter()
     rng = make_rng(("seqsat", seed))
@@ -192,12 +187,10 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
                 trace = oracle.query(vectors)
                 return tuple(bit for cycle in trace for bit in cycle)
 
-            oracle_batch_fn = None
-            if oracle_batch:
-                def oracle_batch_fn(flat_batch, _depth=depth):
-                    sequences = [_unflatten(flat, width, _depth)
-                                 for flat in flat_batch]
-                    return oracle.query_batch_flat(sequences)
+            def oracle_batch_fn(flat_batch, _depth=depth):
+                sequences = [_unflatten(flat, width, _depth)
+                             for flat in flat_batch]
+                return oracle.query_batch_flat(sequences)
 
             budget_left = None
             if time_budget is not None:
@@ -251,7 +244,7 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
             phase_start = time.perf_counter()
             ok, counterexample_depth = _verify_candidate(
                 locked_netlist, kappa, candidate, oracle, reference,
-                rng, check_rounds, depth, batched=oracle_batch)
+                rng, check_rounds, depth)
             oracle_seconds += time.perf_counter() - phase_start
             if ok:
                 return SeqAttackResult(
@@ -316,7 +309,7 @@ def _key_from_model(key_assignment, input_names, kappa):
 
 
 def _verify_candidate(locked_netlist, kappa, candidate, oracle, reference,
-                      rng, check_rounds, depth, batched=True):
+                      rng, check_rounds, depth):
     """Check a candidate key; returns (ok, counterexample_depth)."""
     if reference is not None:
         result = bounded_equivalence(
@@ -337,27 +330,12 @@ def _verify_candidate(locked_netlist, kappa, candidate, oracle, reference,
                 return False, cycle + 1
         return False, depth + 1  # pragma: no cover - witness must diverge
 
-    # Black-box mode: random oracle sequences.
+    # Black-box mode: ``check_rounds`` random oracle sequences, all
+    # word-parallel in one locked simulation and one oracle call; the
+    # first mismatching round decides the counterexample depth.
     width = candidate.width
     locked_sim = SequentialSimulator(locked_netlist)
     total_cycles = depth + kappa + 4
-    if not batched:
-        for _ in range(check_rounds):
-            data = random_vectors(rng, width, total_cycles)
-            locked_trace = locked_sim.run_vectors(
-                list(candidate.vectors) + data)
-            oracle_trace = oracle.query(data)
-            if locked_trace[kappa:] != oracle_trace:
-                for cycle, (got, want) in enumerate(
-                        zip(locked_trace[kappa:], oracle_trace)):
-                    if got != want:
-                        return False, cycle + 1
-        return True, depth
-
-    # Batched: all rounds word-parallel in one locked simulation and one
-    # oracle call.  Same random stimulus, same first-mismatch scan; the
-    # only behavioural difference from the serial loop is that a
-    # *failing* verification still drew and simulated every round.
     prefix = list(candidate.vectors)
     datas = [random_vectors(rng, width, total_cycles)
              for _ in range(check_rounds)]

@@ -138,7 +138,7 @@ def lock_sublock(netlist, kappa=2, n_subs=4, seed=0):
     # output-driving gate so the perturbation reaches a PO.
     gate_nets = sorted(original.gates)
     output_gates = sorted(net for net in set(original.outputs)
-                          if net in original.gates)
+                          if original.is_gate(net))
     victims = []
     if output_gates:
         victims.append(rng.choice(output_gates))

@@ -60,6 +60,16 @@ class AttackError(ReproError):
     """An attack was invoked on an incompatible circuit or ran out of budget."""
 
 
+class InconsistentOracleError(AttackError):
+    """No key satisfies the pinned I/O constraints: the attacked circuit
+    cannot reproduce the oracle under any key assignment.  ``n_pinned``
+    is the number of I/O pairs pinned when that became certain."""
+
+    def __init__(self, message, n_pinned=0):
+        self.n_pinned = n_pinned
+        super().__init__(message)
+
+
 class ExtrapolationError(ReproError):
     """A Table I cell cannot be extrapolated (no measured runs to fit a
     time/DIP rate from) — raised instead of silently emitting NaN."""

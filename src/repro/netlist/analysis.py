@@ -85,7 +85,7 @@ def constant_output_indices(netlist):
     """Indices of primary outputs driven by constant gates (post-fold)."""
     indices = []
     for position, net in enumerate(netlist.outputs):
-        gate = netlist.gates.get(net)
-        if gate is not None and gate.op in (GateOp.CONST0, GateOp.CONST1):
+        if netlist.is_gate(net) and \
+                netlist.gate(net).op in (GateOp.CONST0, GateOp.CONST1):
             indices.append(position)
     return indices

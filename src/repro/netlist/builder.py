@@ -91,9 +91,10 @@ class LogicBuilder:
             return self.const(1)
         if self.is_const(net, 1):
             return self.const(0)
-        driver = self.netlist.gates.get(net)
-        if driver is not None and driver.op is GateOp.NOT:
-            return driver.inputs[0]  # double negation
+        if self.netlist.is_gate(net):
+            driver = self.netlist.gate(net)
+            if driver.op is GateOp.NOT:
+                return driver.inputs[0]  # double negation
         return self._emit(GateOp.NOT, (net,))
 
     def literal(self, net, positive):

@@ -17,10 +17,6 @@ and campaign cell params can refer to them as plain strings:
 ``dpll``
     The reference DPLL solver behind the same interface.  Slow, but an
     independent oracle for property tests.
-``legacy-cdcl``
-    The pre-arena object-graph CDCL core, kept verbatim as the
-    benchmark baseline (``benchmarks/bench_solver.py``) and as a third
-    differential witness.
 ``native``
     An off-tree engine (python-sat if importable, else a DIMACS
     subprocess around ``$REPRO_SAT_BINARY``).  Always listed; when no
@@ -250,14 +246,6 @@ BUILTIN_CONFIGS = (
                description="reference pacing with flipped default phase"),
 )
 
-def _build_legacy():
-    from repro.sat.legacy import LegacySolver
-
-    solver = LegacySolver()
-    solver.backend_name = "legacy-cdcl"
-    return solver
-
-
 def _build_native():
     from repro.sat.native import make_native_backend
 
@@ -267,7 +255,6 @@ def _build_native():
 for _config in BUILTIN_CONFIGS:
     register_backend(_config.name, _config.build)
 register_backend("dpll", DpllBackend)
-register_backend("legacy-cdcl", _build_legacy)
 register_backend("native", _build_native)
 
 

@@ -31,8 +31,7 @@ attribute or dict access. Dropped learnt clauses park their arena slot
 on a per-size free list and are recycled by later learnts.
 
 The public API speaks DIMACS-style literals: non-zero signed ints over
-variables ``1..n``. The pre-arena implementation is preserved verbatim
-in :mod:`repro.sat.legacy` as a benchmark and differential baseline.
+variables ``1..n``.
 """
 
 from __future__ import annotations

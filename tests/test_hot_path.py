@@ -1,4 +1,4 @@
-"""Hot-path PR coverage: differential grids for the arena/legacy/native
+"""Hot-path PR coverage: a differential grid for the arena and native
 solver backends, numpy-vs-pure sweep equality on the fig3/fig7 cells,
 the interrupt-latency regression, the FC seed-derivation fix, and the
 typed-extrapolation-error cases."""
@@ -18,7 +18,6 @@ from repro.metrics import (
 )
 from repro.metrics.resilience import ResilienceMeasurement
 from repro.sat import (
-    LegacySolver,
     NativeUnavailableBackend,
     Solver,
     dpll_solve,
@@ -40,10 +39,12 @@ def _native_env(monkeypatch, sleep=None):
 
 
 # ----------------------------------------------------------------------
-# Differential grid: legacy + native backends vs the DPLL oracle
+# Differential grid: arena reference core + native backend vs the DPLL
+# oracle (instances differ from the per-config grid in
+# test_solver_backends)
 # ----------------------------------------------------------------------
 class TestNewBackendsAgainstDpll:
-    @pytest.mark.parametrize("name", ["legacy-cdcl", "native"])
+    @pytest.mark.parametrize("name", ["cdcl", "native"])
     @pytest.mark.parametrize("seed", range(6))
     def test_random_3cnf_with_assumption_stacks(self, name, seed,
                                                 monkeypatch):
@@ -135,13 +136,6 @@ class TestInterruptLatency:
         solver = self._propagation_heavy(Solver())
         solver.interrupt = _AfterFirstCall()
         assert solver.solve() is None
-
-    def test_seed_core_demonstrates_the_bug(self):
-        """The legacy core (conflict-only polling) runs to completion
-        on the same instance — the behaviour the fix removes."""
-        solver = self._decision_heavy(LegacySolver())
-        solver.interrupt = _AfterFirstCall()
-        assert solver.solve() is True
 
     def test_interrupted_solver_recovers(self):
         solver = self._decision_heavy(Solver())

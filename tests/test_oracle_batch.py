@@ -4,23 +4,26 @@ Two invariants anchor this file:
 
 * the batched oracle is an *accounting* change, not a *behaviour*
   change — every trace, the DIP walk, the recovered key, and the
-  feasible key set are bit-identical to the serial loop; only
-  ``query_count`` collapses while ``pattern_count`` stays comparable;
+  feasible key set are bit-identical to a per-pattern oracle
+  (:class:`SerialOracle`, which answers a batch one :meth:`query` at a
+  time); only ``query_count`` collapses while ``pattern_count`` stays
+  comparable;
 * the hoisted pinning path (shared :class:`InputSpecializer` + arena
   batch encode + copy-b literal mirroring) feeds the solver the exact
-  clause stream the legacy re-simplify-per-pin path did, so serial
-  attack runs stay byte-identical across the rewrite (no CODE_VERSION
-  bump).
+  clause stream of a fresh ``simplified()`` plus two ``encode()`` copies
+  per pin (:func:`_reference_pin`), so attack runs stay byte-identical
+  to that construction.
 """
-
-import time
 
 import pytest
 
+import repro.attacks.comb_sat as comb_sat
 from repro.attacks import SimulationOracle, sequential_sat_attack
-from repro.attacks.comb_sat import DipEngine
+from repro.attacks.comb_sat import DipEngine, _constraint_copy_map
 from repro.attacks.seq_sat import unrolled_attack_view, _with_folded_constants
+from repro.cnf import Cnf, encode
 from repro.errors import AttackError
+from repro.netlist.transform import InputSpecializer, simplified
 from repro.sat import make_backend
 from repro.sim import make_rng
 from repro.sim.random_vectors import random_vectors
@@ -73,19 +76,31 @@ class TestQueryBatch:
             oracle.query_batch([seq])
 
 
+class SerialOracle(SimulationOracle):
+    """Answers every batch one :meth:`query` at a time: the per-pattern
+    reference the word-parallel batch must match, with one
+    ``query_count`` call per DIP."""
+
+    def query_batch(self, sequences):
+        return [self.query(seq) for seq in sequences]
+
+    def query_batch_flat(self, sequences):
+        return [self.query_flat(seq) for seq in sequences]
+
+
 def _attack_pair(kappa_s, dip_batch, portfolio=None, attack_jobs=1,
                  seed=3):
-    """Run the same attack serially and batched; returns both results."""
+    """Run the same attack against a serial and a batched oracle;
+    returns both ``(result, oracle)`` pairs."""
     locked = locked_factory(kappa_s=kappa_s, seed=seed)
-    out = {}
-    for mode in (False, True):
-        oracle = SimulationOracle(locked.original)
-        out[mode] = (sequential_sat_attack(
+    out = []
+    for oracle_cls in (SerialOracle, SimulationOracle):
+        oracle = oracle_cls(locked.original)
+        out.append((sequential_sat_attack(
             locked.netlist, locked.config.kappa, oracle,
             known_depth=locked.config.kappa_s, dip_batch=dip_batch,
-            portfolio=portfolio, attack_jobs=attack_jobs,
-            oracle_batch=mode), oracle)
-    return out[False], out[True]
+            portfolio=portfolio, attack_jobs=attack_jobs), oracle))
+    return out
 
 
 class TestBatchedSerialDifferential:
@@ -124,6 +139,8 @@ class TestBatchedSerialDifferential:
             assert fallback.key == with_numpy.key
             assert fallback.n_dips == with_numpy.n_dips
             assert fallback.dips_per_depth == with_numpy.dips_per_depth
+            assert fallback.oracle_queries == with_numpy.oracle_queries
+            assert fallback.oracle_calls == with_numpy.oracle_calls
 
     def test_dip_batch_one_accounting_matches_serial_loop(self):
         # oracle_batch_fn is bypassed for single-DIP rounds, so the
@@ -182,27 +199,48 @@ def _random_pins(engine, locked, n_pins, seed=11):
     return pins
 
 
+def _reference_pin(engine, dip, response):
+    """Pin one I/O pair the direct way: a fresh ``simplified()`` of the
+    circuit on the DIP, then two independent ``encode()`` copies (key
+    copies "a" and "b"), each followed by its response units."""
+    engine.n_pinned += 1
+    index = engine.n_pinned
+    assignments = {net: (1 if bit else 0)
+                   for net, bit in zip(engine.data_inputs, dip)}
+    specialized = simplified(engine.locked, constant_inputs=assignments,
+                             name=f"io_spec{index}")
+    for tag in ("a", "b"):
+        mapping = _constraint_copy_map(specialized, engine.key_set, tag,
+                                       index)
+        copy = specialized.renamed(mapping, name=f"io_{tag}{index}")
+        cnf = Cnf(engine.solver.num_vars)
+        circuit = encode(copy, cnf=cnf, var_of=engine.var_of)
+        engine.solver.ensure_vars(cnf.num_vars)
+        for clause in cnf.clauses:
+            engine.solver.add_clause(clause)
+        for net, bit in zip(copy.outputs, response):
+            engine.solver.add_clause([circuit.lit(net, bool(bit))])
+
+
 class TestPinningEquivalence:
-    def test_legacy_and_hoisted_clause_streams_identical(self,
-                                                         monkeypatch):
+    def test_legacy_and_hoisted_clause_streams_identical(self):
         locked, view, key_inputs = _attack_view()
         streams, var_counts, feasible = {}, {}, {}
-        for mode in ("legacy", "hoisted"):
-            if mode == "legacy":
-                monkeypatch.setenv("REPRO_LEGACY_PIN", "1")
-            else:
-                monkeypatch.delenv("REPRO_LEGACY_PIN", raising=False)
+        for mode in ("reference", "hoisted"):
             spy = SpySolver()
             with DipEngine(view, key_inputs, solver=spy) as engine:
                 pins = _random_pins(engine, locked, n_pins=6)
                 for dip, response in pins:
-                    engine.pin_response(dip, response)
+                    if mode == "reference":
+                        _reference_pin(engine, dip, response)
+                    else:
+                        engine.pin_response(dip, response)
                 streams[mode] = list(spy.clause_log)
                 var_counts[mode] = spy.num_vars
                 feasible[mode] = engine.feasible_keys()
-        assert streams["hoisted"] == streams["legacy"]
-        assert var_counts["hoisted"] == var_counts["legacy"]
-        assert feasible["hoisted"] == feasible["legacy"]
+        assert streams["hoisted"] == streams["reference"]
+        assert var_counts["hoisted"] == var_counts["reference"]
+        assert feasible["hoisted"] == feasible["reference"]
 
     def test_pin_batch_equals_one_by_one_pinning(self):
         locked, view, key_inputs = _attack_view()
@@ -222,25 +260,38 @@ class TestPinningEquivalence:
         assert feasible["batched"] == feasible["one-by-one"]
 
     def test_hoisted_encode_does_not_regress(self, monkeypatch):
-        """The phase-timer regression guard from the issue: the hoisted
-        pin path must not be slower than the legacy path it replaces
-        (generous margin — CI boxes are noisy; the point is catching a
-        reintroduced per-pin re-simplify, a 2x+ effect)."""
+        """The work guard of the hoisted path: over N pins, one at a
+        time or batched, an engine builds ONE :class:`InputSpecializer`
+        (a per-pin re-simplify builds one per pin) and calls ``encode``
+        N times (copy "b" is mirrored, not re-encoded)."""
         locked, view, key_inputs = _attack_view(kappa_s=3)
-        seconds = {}
-        for mode in ("legacy", "hoisted"):
-            if mode == "legacy":
-                monkeypatch.setenv("REPRO_LEGACY_PIN", "1")
-            else:
-                monkeypatch.delenv("REPRO_LEGACY_PIN", raising=False)
-            best = float("inf")
-            for _ in range(3):
-                with DipEngine(view, key_inputs) as engine:
-                    pins = _random_pins(engine, locked, n_pins=12)
-                    start = time.process_time()
-                    engine.pin_batch(pins)
-                    best = min(best, time.process_time() - start)
-            seconds[mode] = best
-        assert seconds["hoisted"] <= seconds["legacy"] * 1.25, (
-            f"hoisted pinning {seconds['hoisted']:.4f}s vs legacy "
-            f"{seconds['legacy']:.4f}s")
+        counts = {"specializers": 0, "encodes": 0}
+        real_init = InputSpecializer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            counts["specializers"] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_encode(*args, **kwargs):
+            counts["encodes"] += 1
+            return encode(*args, **kwargs)
+
+        n_pins = 12
+        with DipEngine(view, key_inputs) as engine:
+            pins = _random_pins(engine, locked, n_pins=n_pins)
+            monkeypatch.setattr(InputSpecializer, "__init__", counting_init)
+            monkeypatch.setattr(comb_sat, "encode", counting_encode)
+            for dip, response in pins[:n_pins // 2]:
+                engine.pin_response(dip, response)
+            engine.pin_batch(pins[n_pins // 2:])
+            assert engine.n_pinned == n_pins
+        assert counts == {"specializers": 1, "encodes": n_pins}
+
+
+def test_serial_oracle_loop_is_gone():
+    locked = _locked_tiny()
+    with pytest.raises(TypeError, match="oracle_batch"):
+        sequential_sat_attack(
+            locked.netlist, locked.config.kappa,
+            SimulationOracle(locked.original), known_depth=1,
+            oracle_batch=False)

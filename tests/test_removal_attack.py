@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.api import matrix_cell
 from repro.attacks import attempt_removal, scc_report, separable_registers
+from repro.attacks.comb_sat import DipEngine
+from repro.errors import AttackError, InconsistentOracleError
+from repro.netlist import GateOp, Netlist
 
 from tests.conftest import _locked_mid
 
@@ -100,3 +104,33 @@ class TestAttemptRemoval:
         attempt = attempt_removal(plain)
         # Removal reduces the scheme to constant-solving: a few DIPs.
         assert attempt.n_dips <= 8
+
+    def test_no_tie_constants_is_a_failed_attempt(self):
+        """Strip-and-solve on a re-encoded TriLock lock: the DIP loop
+        proves no tie constants reproduce the oracle.  That is the
+        removal failure Table II expects, reported as an outcome rather
+        than raised as an error."""
+        outcome = matrix_cell("synth?gates=60&seed=0", 0,
+                              "trilock?kappa_s=1&s_pairs=4", "removal")
+        assert outcome["success"] is False
+        assert outcome["details"] == {
+            "reason": "no tie constants reproduce the oracle",
+            "verified": False}
+        assert outcome["metrics"]["stripped"] > 0
+        assert outcome["metrics"]["n_dips"] >= 1
+
+
+def test_inconsistent_oracle_error_is_typed():
+    """An oracle no key can reproduce raises the typed subclass, carrying
+    the number of pinned I/O pairs."""
+    netlist = Netlist("and2")
+    netlist.add_input("k")
+    netlist.add_input("x")
+    netlist.add_gate("y", GateOp.AND, ["k", "x"])
+    netlist.add_output("y")
+    with DipEngine(netlist.validate(), ["k"]) as engine:
+        engine.pin_response((False,), (True,))  # AND(k, 0) is never 1
+        with pytest.raises(InconsistentOracleError) as info:
+            engine.solve_key()
+    assert isinstance(info.value, AttackError)
+    assert info.value.n_pinned == 1

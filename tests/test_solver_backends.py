@@ -82,6 +82,14 @@ class TestRegistry:
         with pytest.raises(SolverError):
             make_backend("minisat-classic")
 
+    def test_removed_legacy_backend_is_unknown(self):
+        """The pre-arena core is gone; its old name fails loudly and the
+        error lists what is registered instead."""
+        with pytest.raises(SolverError, match=r"known: .*cdcl.*dpll"):
+            make_backend("legacy-cdcl")
+        with pytest.raises(SolverError, match=r"known: .*cdcl.*dpll"):
+            parse_portfolio("cdcl,legacy-cdcl")
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(SolverError):
             register_backend("cdcl", Solver)
